@@ -1,11 +1,10 @@
 #pragma once
-// The adaptation round shared by both serving planes (DESIGN.md §13).
+// The adaptation round policies of the serving plane (DESIGN.md §13).
 //
-// The single-tenant InferenceServer and the multi-tenant router both run the
-// same loop: drain an OOD side buffer, clone the live generation, run one
-// DomainLifecycle round on the clone, publish the result as the next
-// generation. This header is that one round as a pure function — the two
-// servers keep only their own buffering, locking, and publish plumbing.
+// The plane's adaptation loop (serve/plane.cpp) drains a tenant's OOD side
+// buffer, runs one round on a clone of the live generation and publishes
+// the result as the next generation. The two round policies live here as
+// pure functions — the plane keeps only buffering, locking and publishing.
 
 #include <cstdint>
 #include <memory>
@@ -32,10 +31,12 @@ struct OodSample {
 };
 
 /// Result of one adaptation round: the candidate next generation (null when
-/// the round was empty) and what the lifecycle did to produce it.
+/// the round was empty or the policy declined it) and what the round did to
+/// produce it.
 struct AdaptationOutcome {
   std::shared_ptr<const ModelSnapshot> next;
   LifecycleRoundStats lifecycle;
+  const char* enroll_reason = "novel-cluster";  ///< event reason per enrol
 };
 
 /// Clone `parent`'s model, run one lifecycle round over `round` (usage is
@@ -49,12 +50,21 @@ struct AdaptationOutcome {
     std::span<const std::pair<int, double>> usage,
     const LifecycleConfig& config, std::uint64_t next_version);
 
+/// The unbounded policy: enrol the whole round as ONE new domain (fresh id
+/// past the largest live one; every sample absorbed under its pseudo-label
+/// — the paper's "Model Update" box, Sec 3.6) and wrap it like
+/// run_lifecycle_round does. Declines (null `next`) when the round is empty
+/// or `parent` already has `max_domains` domains.
+[[nodiscard]] AdaptationOutcome run_enrol_round(
+    const ModelSnapshot& parent, std::span<const OodSample> round,
+    std::size_t max_domains, std::uint64_t next_version);
+
 /// Emit one lifecycle event per merge / enroll / evict decision of a
 /// PUBLISHED round (DESIGN.md §14) — call this only after the publish CAS
 /// succeeded, so the event log never claims changes that a lost race threw
 /// away (a shed round emits kAdaptationShed at its own decision site
 /// instead). `scope` is the tenant (fleet plane) or the plane name.
 void emit_lifecycle_events(obs::Telemetry& telemetry, std::string_view scope,
-                           const LifecycleRoundStats& stats);
+                           const AdaptationOutcome& outcome);
 
 }  // namespace smore

@@ -15,7 +15,7 @@ TenantModel::TenantModel(std::string tenant,
     throw std::invalid_argument("TenantModel: null boot snapshot");
   }
   dim_ = boot->model->dim();
-  generations_.publish(std::move(boot));
+  current_.store(std::move(boot), std::memory_order_release);
 }
 
 bool TenantModel::publish(std::shared_ptr<const ModelSnapshot> snap) {
@@ -27,7 +27,20 @@ bool TenantModel::publish(std::shared_ptr<const ModelSnapshot> snap) {
         "TenantModel::publish: snapshot dimension mismatch for tenant " +
         tenant_);
   }
-  return generations_.publish(std::move(snap));
+  // CAS loop: the version check and the swap must be one atomic step, or a
+  // slow publisher (e.g. an adaptation round built off generation N) could
+  // overwrite a newer generation installed meanwhile by another publisher.
+  auto expected = current_.load(std::memory_order_acquire);
+  for (;;) {
+    if (snap->version <= expected->version) {
+      return false;  // stale publisher loses; the newer generation stays
+    }
+    if (current_.compare_exchange_weak(expected, snap,
+                                       std::memory_order_acq_rel,
+                                       std::memory_order_acquire)) {
+      return true;
+    }
+  }
 }
 
 std::size_t snapshot_resident_bytes(const ModelSnapshot& snap) {

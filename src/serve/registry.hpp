@@ -20,7 +20,7 @@
 //     reference: a shard worker mid-batch holds its own shared_ptr and
 //     finishes on the model it started with.
 //
-// Each resident tenant is a TenantModel: a per-tenant SnapshotRegistry, so
+// Each resident tenant is a TenantModel: a per-tenant RCU swap point, so
 // operators can publish a retrained generation for ONE tenant (RCU swap,
 // same semantics as the single-tenant server) without touching the others.
 // The budget accounts the boot footprint; published generations are assumed
@@ -31,6 +31,7 @@
 // cost of keeping the hot path lock-free; operators re-publish after a
 // deploy, they do not fire-and-forget across evictions.
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -77,23 +78,27 @@ struct RegistryStats {
   std::size_t byte_budget = 0;
 };
 
-/// One resident tenant: its own RCU snapshot chain. Handed out as a
-/// shared_ptr so in-flight work pins it across eviction.
+/// One tenant's RCU swap point between serving workers and publishers.
+/// Handed out as a shared_ptr so in-flight work pins it across eviction.
 class TenantModel {
  public:
+  /// Throws std::invalid_argument on a null boot snapshot.
   TenantModel(std::string tenant, std::shared_ptr<const ModelSnapshot> boot);
 
   [[nodiscard]] const std::string& tenant() const noexcept { return tenant_; }
 
-  /// The tenant's live snapshot (never null). Lock-free.
+  /// The tenant's live snapshot (never null). Lock-free: one atomic load.
   [[nodiscard]] std::shared_ptr<const ModelSnapshot> snapshot() const {
-    return generations_.current();
+    return current_.load(std::memory_order_acquire);
   }
 
-  /// RCU-publish a new generation for this tenant (e.g. a retrain push).
-  /// The snapshot must match the boot dimension (std::invalid_argument
-  /// otherwise); returns false when the live generation is already newer —
-  /// same stale-publisher-loses contract as SnapshotRegistry.
+  /// Atomically replace the live snapshot IF `snap` is a newer generation.
+  /// Readers that already loaded the old one finish on it. Returns false
+  /// (installing nothing) when the live version is already >= snap->version
+  /// — a compare-and-swap, so two concurrent publishers (an adaptation round
+  /// and an operator push) cannot lose the newer one or regress the
+  /// version. Throws std::invalid_argument on a null snapshot or one whose
+  /// dimension differs from the boot model's.
   bool publish(std::shared_ptr<const ModelSnapshot> snap);
 
   [[nodiscard]] std::size_t dim() const noexcept { return dim_; }
@@ -101,7 +106,7 @@ class TenantModel {
  private:
   std::string tenant_;
   std::size_t dim_ = 0;
-  SnapshotRegistry generations_;
+  std::atomic<std::shared_ptr<const ModelSnapshot>> current_;
 };
 
 /// Resident-memory cost of a snapshot: what the registry budget accounts.

@@ -1,116 +1,44 @@
 #pragma once
-// MultiTenantServer: tenant routing, per-shard worker groups, and fair
-// admission control over the ModelRegistry (DESIGN.md §12).
+// MultiTenantServer: the fleet front end of the serving plane (DESIGN.md
+// §12). Many tenants, each with its own model, share one machine:
 //
-// The single-tenant InferenceServer (serve/server.hpp) scales one model to
-// many clients. A fleet inverts the problem: many tenants, each with its own
-// model, sharing one machine. Three mechanisms make that safe:
-//
-//   * tenant → shard routing — a request is hashed by tenant id onto one of
-//     `num_shards` shards. A shard is a thread slice that owns its own
-//     bounded request queue and worker group, so tenants on different shards
-//     never contend on a queue lock, and all of one tenant's traffic lands
-//     where its batches can coalesce;
-//   * per-tenant micro-batches — batches cannot mix tenants (each tenant has
-//     its own model), so shard workers stage arrivals into per-tenant
-//     pending groups and run ONE predict_batch_full per tenant-batch against
-//     that tenant's pinned snapshot. The batch pins the TenantModel: a
-//     registry eviction mid-batch cannot free the model under the kernel;
+//   * tenant → shard routing — a request hashes by tenant id onto one of
+//     `num_shards` queue+worker slices, so tenants on different shards never
+//     contend on a queue lock and one tenant's traffic coalesces in one place;
+//   * per-tenant micro-batches — a batch never mixes tenants and pins its
+//     TenantModel, so a registry eviction mid-batch cannot free the model
+//     under the kernel;
 //   * tenant-fair admission + drain — with `fair` set, try_submit enforces a
-//     per-tenant in-flight quota (admission control: a Zipf-head tenant that
-//     floods the shard is shed with kShedTenantQuota while the tail is still
-//     admitted) and workers drain pending tenant groups round-robin (one
-//     batch per tenant per turn — service fairness: the head cannot starve
-//     the tail inside the queue either). With `fair` off the server is the
+//     per-tenant in-flight quota (a flooding Zipf-head tenant is shed with
+//     kShedTenantQuota while the tail is still admitted) and workers drain
+//     pending tenant groups round-robin. With `fair` off the plane is the
 //     throughput-greedy baseline: no quota, largest-group-first drain
-//     (maximizes batch fill, starves the tail) — the configuration the
-//     multi-tenant bench contrasts against.
+//     (maximizes batch fill, starves the tail).
 //
 // Model residency (lazy load, single-flight, LRU under a byte budget) is the
-// registry's job; the router only acquires. An artifact that fails to load
-// fails THE REQUESTS that needed it — the returned future carries the
-// loader's exception, per-request, never process-wide.
-//
-// Requests are pre-encoded hypervectors: in a fleet the encoder is
-// tenant-specific state that travels inside the artifact, and per-tenant
-// in-batch encoding stays deferred. Per-tenant adaptation (ROADMAP item 3)
-// is served here: turn on MultiTenantConfig::adaptation and each tenant's
-// OOD traffic drives its own bounded domain lifecycle (DESIGN.md §13) —
-// flat per-tenant memory no matter how long its drift history runs.
-// Shutdown is graceful and total: queues close, workers
-// drain every pending group across all shards, every future is fulfilled,
-// and late submits resolve immediately with kShuttingDown.
+// registry's job; an artifact that fails to load fails THE REQUESTS that
+// needed it, never the process. Requests are pre-encoded hypervectors: in a
+// fleet the encoder travels inside each tenant's artifact. Routing,
+// batching, per-tenant adaptation (always lifecycle-bounded, DESIGN.md §13)
+// and the graceful shutdown live in the shared plane (serve/plane.hpp);
+// this front end adds the registry, the periodic telemetry exporter and the
+// fleet's stats views.
 
-#include <atomic>
-#include <chrono>
-#include <cstddef>
 #include <cstdint>
-#include <future>
-#include <map>
 #include <memory>
 #include <mutex>  // std::once_flag only; locks go through util/mutex.hpp
 #include <optional>
-#include <span>
 #include <string>
 #include <thread>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
-#include "core/domain_lifecycle.hpp"
-#include "serve/adaptation.hpp"
+#include "serve/plane.hpp"
 #include "serve/registry.hpp"
-#include "serve/server.hpp"
 #include "util/annotations.hpp"
 #include "util/latency.hpp"
-#include "util/mpmc_queue.hpp"
 #include "util/mutex.hpp"
 
 namespace smore {
-
-/// Fleet-serving knobs. Scheduler knobs (max_batch / max_delay_us) mean the
-/// same as in ServerConfig; the new surface is the shard layout and the
-/// fairness policy.
-struct MultiTenantConfig {
-  std::size_t num_shards = 1;        ///< independent queue+worker slices
-  std::size_t workers_per_shard = 1; ///< batching workers per shard
-  std::size_t max_batch = 64;        ///< per-tenant micro-batch cap
-  std::uint32_t max_delay_us = 200;  ///< batch-formation wait when idle
-  std::size_t shard_queue_capacity = 1024;  ///< per-shard request bound
-
-  bool fair = true;  ///< per-tenant quota + round-robin drain (see header)
-  /// Max in-flight requests per tenant before try_submit sheds with
-  /// kShedTenantQuota (fair mode only; 0 = unbounded). Blocking submit()
-  /// bypasses the quota — backpressure already slows that producer down.
-  std::size_t tenant_inflight_quota = 256;
-
-  /// Per-tenant online adaptation (ROADMAP item 3): shard
-  /// workers feed each tenant's OOD traffic into that tenant's own bounded
-  /// side buffer, and ONE shared adaptation worker sweeps ready tenants,
-  /// runs a bounded lifecycle round (DESIGN.md §13) on the tenant's clone,
-  /// and republishes that tenant's generation. Always lifecycle-bounded:
-  /// a fleet tenant's model size is a function of lifecycle_config, never
-  /// of its traffic history. Cold (evicted) tenants are never reloaded just
-  /// to adapt them — their buffered rounds are shed and counted.
-  bool adaptation = false;
-  std::size_t adapt_min_batch = 64;         ///< OOD windows per tenant round
-  std::size_t adapt_buffer_capacity = 512;  ///< per-tenant side-buffer bound
-  std::uint32_t adapt_poll_ms = 2;          ///< adaptation sweep cadence
-  LifecycleConfig lifecycle_config;         ///< bounded lifecycle knobs
-
-  /// Telemetry hub (DESIGN.md §14): every fleet counter/histogram lives in
-  /// its MetricsRegistry, requests cut trace spans, and shed / publish /
-  /// lifecycle occurrences emit events. Pass the SAME hub as
-  /// RegistryConfig::telemetry for one unified export surface (fleet_top
-  /// sees residency AND traffic); null means a private hub.
-  std::shared_ptr<obs::Telemetry> telemetry;
-  /// When non-empty, a background thread writes the JSON telemetry snapshot
-  /// (obs::snapshot_json_text) to this path every export_interval_ms,
-  /// atomically (tmp + rename) — the file fleet_top watches. One final
-  /// write happens at shutdown so the last counters are never lost.
-  std::string export_path;
-  std::uint32_t export_interval_ms = 1000;  ///< exporter cadence
-};
 
 /// Per-tenant counters + latency histograms. Slots are created on first
 /// submit and never dropped — stats survive model eviction, so a tenant's
@@ -195,7 +123,7 @@ class MultiTenantServer {
       ServeStatus* shed_reason = nullptr);
 
   [[nodiscard]] const MultiTenantConfig& config() const noexcept {
-    return config_;
+    return plane_->config();
   }
   [[nodiscard]] ModelRegistry& registry() noexcept { return *registry_; }
 
@@ -212,7 +140,7 @@ class MultiTenantServer {
   /// the config left it unset). Exporters (obs/export.hpp) read it.
   [[nodiscard]] const std::shared_ptr<obs::Telemetry>& telemetry()
       const noexcept {
-    return tel_->hub_ptr();
+    return plane_->telemetry().hub_ptr();
   }
 
   /// Write the JSON telemetry snapshot to `path` atomically (tmp + rename).
@@ -220,87 +148,18 @@ class MultiTenantServer {
   bool write_telemetry(const std::string& path) const;
 
  private:
-  /// Persistent per-tenant bookkeeping (never evicted; see
-  /// TenantServerStats). Counters and histograms live in the telemetry
-  /// registry ({tenant=...} series, handles bundled in `tel`); only the
-  /// in-flight quota gauge and the adaptation side state are slot-local.
-  struct TenantSlot {
-    TenantSlot(std::string name, TenantTelemetry telemetry)
-        : tenant(std::move(name)), tel(telemetry) {}
-    const std::string tenant;
-    const TenantTelemetry tel;  // handles stay valid for the hub's lifetime
-    std::atomic<std::uint64_t> inflight{0};
-    // This tenant's OOD side buffer + per-domain usage credit since its last
-    // adaptation round (adaptation mode only; bounded by
-    // adapt_buffer_capacity, overflow is counted and shed).
-    Mutex adapt_m;
-    std::vector<OodSample> ood_buffer SMORE_GUARDED_BY(adapt_m);
-    std::map<int, double> usage SMORE_GUARDED_BY(adapt_m);
-  };
-
-  struct Request {
-    std::shared_ptr<TenantSlot> slot;
-    std::shared_ptr<TenantModel> model;  // pinned: eviction-safe
-    std::vector<float> hv;
-    std::promise<ServeResult> promise;
-    std::chrono::steady_clock::time_point submit_time;
-  };
-
-  struct Shard {
-    explicit Shard(std::size_t capacity) : queue(capacity) {}
-    MpmcQueue<Request> queue;
-  };
-
-  std::shared_ptr<TenantSlot> slot_of(const std::string& tenant);
-  Shard& shard_of(const std::string& tenant);
-  std::optional<std::future<ServeResult>> do_submit(const std::string& tenant,
-                                                    std::vector<float> hv,
-                                                    bool blocking,
-                                                    ServeStatus* shed_reason);
-  void worker_loop(std::size_t shard_index, std::size_t worker_index);
-  /// Run one single-tenant micro-batch end to end.
-  void process_batch(std::vector<Request>& batch, std::size_t worker_index);
-  /// The shared per-tenant adaptation sweep (one thread for the fleet).
-  void adaptation_loop();
   /// Periodic JSON snapshot writer (spawned when export_path is set).
   void export_loop();
-  /// One tenant's lifecycle round: clone → adapt → republish its generation.
-  void run_tenant_round(TenantSlot& slot, std::vector<OodSample> round,
-                        std::span<const std::pair<int, double>> usage);
-  /// Every live slot (snapshot of the insert-only maps).
-  [[nodiscard]] std::vector<std::shared_ptr<TenantSlot>> all_slots() const;
 
-  MultiTenantConfig config_;
   std::shared_ptr<ModelRegistry> registry_;
-  std::vector<std::unique_ptr<Shard>> shards_;
-  std::vector<std::thread> workers_;
-  std::thread adaptation_thread_;
-  Mutex adapt_wake_m_;
-  CondVar adapt_cv_;
-  bool adapt_stopping_ SMORE_GUARDED_BY(adapt_wake_m_) = false;
-
-  // Tenant slots: sharded string → slot map, insert-only.
-  static constexpr std::size_t kSlotShards = 16;
-  struct SlotShard {
-    Mutex m;
-    std::unordered_map<std::string, std::shared_ptr<TenantSlot>> map
-        SMORE_GUARDED_BY(m);
-  };
-  std::vector<std::unique_ptr<SlotShard>> slot_shards_;
-
-  // Fleet-plane counters/histograms live in the telemetry hub ({plane=fleet}
-  // series); stats() reads the same handles the hot path bumps.
-  std::unique_ptr<ServeTelemetry> tel_;
-  obs::Counter* tenants_seen_ = nullptr;  // slots ever created
+  std::unique_ptr<ServingPlane> plane_;
 
   // Periodic exporter (export_path only).
   std::thread export_thread_;
   Mutex export_m_;
   CondVar export_cv_;
   bool export_stopping_ SMORE_GUARDED_BY(export_m_) = false;
-
-  std::atomic<bool> shut_down_{false};
-  std::once_flag shutdown_once_;
+  std::once_flag export_once_;
 };
 
 }  // namespace smore

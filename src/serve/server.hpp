@@ -1,63 +1,42 @@
 #pragma once
-// InferenceServer: the micro-batching serving runtime (DESIGN.md §9).
+// InferenceServer: the micro-batching serving runtime for ONE model
+// (DESIGN.md §9).
 //
-// PRs 1-3 made every layer batch-first, but a deployed system receives
-// *single* windows from many concurrent clients — nobody hands the server a
-// WindowDataset. This is the component in between:
+// A deployed system receives *single* windows from many concurrent clients
+// — nobody hands the server a WindowDataset. This front end serves them
+// through the shared serving plane (serve/plane.hpp) as a fleet of one: a
+// single shard, one pinned and always-resident model, no registry.
 //
-//   producers ──submit()──▶ MpmcQueue ──pop_batch()──▶ worker threads
-//                (future)     (bounded,                  coalesce ≤ max_batch
-//                              backpressure)             or max_delay_us,
-//                                                        one batched predict,
-//                                                        fulfill futures
-//
-// Three actors, three mutation rates:
 //   * producers submit one encoded hypervector (or one raw Window, encoded
 //     inside the batch via Encoder::encode_batch) and get a
 //     std::future<ServeResult>;
-//   * batching workers drain the queue into micro-batches and run ONE
-//     Encoder::encode_batch + ONE predict_batch_full per batch against an
-//     immutable ModelSnapshot — the per-request costs (wakeups, kernel
-//     setup, allocations) amortize across the batch, which is where the
-//     ≥5× over per-request dispatch comes from (bench_serving);
-//   * the adaptation worker drains OOD-flagged windows into a side buffer
-//     and, once enough accumulate, clones the live model, enrolls them as a
-//     new domain (descriptor absorb + pseudo-labeled OnlineHD updates — the
-//     paper's Fig. 2 "Model Update" box, Sec 3.6), and publishes a new
-//     snapshot. Enrollment of an unseen domain is concurrent with live
-//     traffic: readers keep serving the old generation mid-publish.
+//   * batching workers coalesce requests into micro-batches and run ONE
+//     encode_batch + ONE predict_batch_full per batch against an immutable
+//     ModelSnapshot, amortizing the per-request costs (wakeups, kernel
+//     setup, allocations) across the batch;
+//   * the adaptation worker enrols OOD-flagged queries (the paper's Fig. 2
+//     "Model Update" box, Sec 3.6) on a clone of the live model and
+//     publishes the next snapshot while readers keep serving the old one.
 //
 // Backpressure: the queue is bounded. submit() blocks the producer when the
 // server is saturated (latency, not memory growth); try_submit() refuses
 // instead (load shedding). Shutdown is graceful: the queue closes, workers
 // drain every in-flight request, and every future is fulfilled.
 
-#include <atomic>
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <future>
 #include <memory>
-#include <mutex>  // std::once_flag only; locks go through util/mutex.hpp
 #include <optional>
-#include <thread>
 #include <vector>
 
-#include <map>
-
 #include "core/domain_lifecycle.hpp"
-#include "core/inference_backend.hpp"
-#include "core/smore.hpp"
 #include "data/timeseries.hpp"
 #include "hdc/encoder_base.hpp"
-#include "serve/adaptation.hpp"
+#include "serve/plane.hpp"
 #include "serve/snapshot.hpp"
 #include "serve/status.hpp"
-#include "serve/telemetry.hpp"
-#include "util/annotations.hpp"
 #include "util/latency.hpp"
-#include "util/mpmc_queue.hpp"
-#include "util/mutex.hpp"
 
 namespace smore {
 
@@ -79,7 +58,7 @@ struct ServerConfig {
   std::size_t adapt_min_batch = 64;  ///< OOD windows per enrollment round
   std::size_t adapt_buffer_capacity = 1024;  ///< OOD side-buffer bound
   std::size_t adapt_max_domains = 16;  ///< stop enrolling beyond this K
-  std::uint32_t adapt_poll_ms = 2;   ///< adaptation worker wake cadence
+  std::uint32_t adapt_poll_ms = 2;   ///< fallback wake (a full buffer wakes)
 
   /// Bounded domain lifecycle (DESIGN.md §13). Off: every adaptation round
   /// enrolls ONE new domain and rounds past adapt_max_domains are shed (the
@@ -97,20 +76,8 @@ struct ServerConfig {
   std::shared_ptr<obs::Telemetry> telemetry;
 };
 
-// ServeStatus and to_string(ServeStatus) live in serve/status.hpp (shared
-// with the router and the telemetry layer).
-
-/// Per-request response (the future's value). The non-status fields are
-/// meaningful only when `status == ServeStatus::kOk`.
-struct ServeResult {
-  ServeStatus status = ServeStatus::kOk;
-  int label = -1;
-  bool is_ood = false;
-  double max_similarity = 0.0;     ///< δ_max against the domain descriptors
-  std::vector<double> weights;     ///< ensemble weights used (size K)
-  double latency_seconds = 0.0;    ///< submit → fulfillment
-  std::uint64_t snapshot_version = 0;  ///< model generation that answered
-};
+// ServeStatus lives in serve/status.hpp and ServeResult in serve/plane.hpp
+// (shared with the router and the telemetry layer).
 
 /// Counters + latency percentiles (the stats endpoint payload). A VIEW over
 /// the server's metrics registry: every field is read back from the same
@@ -135,8 +102,8 @@ struct ServerStats {
   LatencySummary latency;           ///< submit→fulfill percentiles
 };
 
-/// The serving runtime. Construction spawns the worker threads; destruction
-/// (or shutdown()) drains and joins them.
+/// The one-model front end. Construction starts the plane's threads;
+/// destruction (or shutdown()) drains and joins them.
 class InferenceServer {
  public:
   /// `boot` is the initial snapshot (must be non-null; its backend answers
@@ -177,19 +144,20 @@ class InferenceServer {
   std::optional<std::future<ServeResult>> try_submit(
       std::vector<float> hv, ServeStatus* shed_reason = nullptr);
 
-  /// Atomically swap the serving model. The snapshot must match the boot
-  /// model's dimension; in-flight batches finish on the generation they
-  /// started with. Returns false when the live generation is already
-  /// >= snap->version (the stale publisher loses; see SnapshotRegistry).
+  /// Atomically swap the serving model (TenantModel::publish: same
+  /// dimension, in-flight batches finish on their generation, a stale
+  /// publisher loses and gets false).
   bool publish(std::shared_ptr<const ModelSnapshot> snap);
 
   /// The live snapshot (never null).
   [[nodiscard]] std::shared_ptr<const ModelSnapshot> snapshot() const {
-    return registry_.current();
+    return plane_->pinned()->snapshot();
   }
 
   [[nodiscard]] const ServerConfig& config() const noexcept { return config_; }
-  [[nodiscard]] std::size_t dim() const noexcept { return dim_; }
+  [[nodiscard]] std::size_t dim() const noexcept {
+    return plane_->pinned()->dim();
+  }
 
   /// Graceful shutdown: stop accepting, drain every queued request, fulfill
   /// every future, join all threads. Idempotent; the destructor calls it.
@@ -202,65 +170,13 @@ class InferenceServer {
   /// the config left it unset). Exporters (obs/export.hpp) read it.
   [[nodiscard]] const std::shared_ptr<obs::Telemetry>& telemetry()
       const noexcept {
-    return tel_->hub_ptr();
+    return plane_->telemetry().hub_ptr();
   }
 
  private:
-  struct Request {
-    std::vector<float> hv;          // encoded query (empty when window set)
-    std::optional<Window> window;   // raw window to encode in-batch
-    std::promise<ServeResult> promise;
-    std::chrono::steady_clock::time_point submit_time;
-  };
-
-  // OodSample (the side-buffer element) lives in serve/adaptation.hpp,
-  // shared with the multi-tenant router's per-tenant adaptation.
-
-  /// Shared submit bookkeeping: stamp, push (blocking or refusing), count.
-  /// nullopt only in non-blocking mode (full/closed queue, counted as a
-  /// rejection, reason in *shed_reason); in blocking mode a post-shutdown
-  /// submit yields a ready future carrying kShuttingDown.
-  std::optional<std::future<ServeResult>> enqueue(Request req, bool blocking,
-                                                  ServeStatus* shed_reason);
-  void worker_loop(std::size_t worker_index);
-  void adaptation_loop();
-  /// Run one micro-batch: encode window-requests, predict, fulfill.
-  void process_batch(std::vector<Request>& batch, std::size_t worker_index);
-  /// publish() with the event reason ("operator" / "adaptation" / "boot").
-  bool do_publish(std::shared_ptr<const ModelSnapshot> snap,
-                  const char* reason);
-
   ServerConfig config_;
-  std::size_t dim_ = 0;
   std::shared_ptr<const Encoder> encoder_;
-  SnapshotRegistry registry_;
-  MpmcQueue<Request> queue_;
-
-  std::vector<std::thread> workers_;
-  std::thread adaptation_thread_;
-
-  // OOD side buffer (adaptation worker input). Bounded: overflow sheds the
-  // newest sample and counts it — adaptation is best-effort by design.
-  Mutex ood_mutex_;
-  std::vector<OodSample> ood_buffer_ SMORE_GUARDED_BY(ood_mutex_);
-  bool stopping_ SMORE_GUARDED_BY(ood_mutex_) = false;  // adaptation wake flag
-  CondVar ood_cv_;
-
-  // Served-query credit per domain id since the last lifecycle round (the
-  // eviction policy's usage signal). Only written when lifecycle is on.
-  Mutex usage_mutex_;
-  std::map<int, double> usage_acc_ SMORE_GUARDED_BY(usage_mutex_);
-
-  // Stats live in the telemetry hub: counter/histogram handles are created
-  // once at construction (ServeTelemetry), stats() reads them back. The two
-  // gauges are refreshed at publish and stats time (no callbacks — the hub
-  // may outlive this server).
-  std::unique_ptr<ServeTelemetry> tel_;
-  obs::Gauge* version_gauge_ = nullptr;
-  obs::Gauge* domains_gauge_ = nullptr;
-
-  std::atomic<bool> shut_down_{false};
-  std::once_flag shutdown_once_;
+  std::unique_ptr<ServingPlane> plane_;
 };
 
 }  // namespace smore

@@ -1,6 +1,7 @@
 #pragma once
-// ModelSnapshot / SnapshotRegistry: immutable, atomically swappable serving
-// models (DESIGN.md §9, §10).
+// ModelSnapshot: one immutable, atomically swappable serving model
+// generation (DESIGN.md §9, §10). TenantModel (serve/registry.hpp) is the
+// swap point.
 //
 // The serving runtime separates two mutation rates: queries arrive
 // continuously, model updates arrive rarely (an adaptation round, an
@@ -21,7 +22,6 @@
 // packed model. The encoder (when known, e.g. when the snapshot is built
 // from a Pipeline) is shared so window-submitting servers keep it alive.
 
-#include <atomic>
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
@@ -80,45 +80,6 @@ struct ModelSnapshot {
   /// model, δ*, and packed backend all come from the one file.
   static std::shared_ptr<const ModelSnapshot> from_artifact(
       std::istream& in, std::uint64_t version = 0);
-};
-
-/// The swap point between serving workers and publishers. Readers never
-/// lock: current() is one atomic shared_ptr load.
-class SnapshotRegistry {
- public:
-  SnapshotRegistry() = default;
-  explicit SnapshotRegistry(std::shared_ptr<const ModelSnapshot> boot) {
-    publish(std::move(boot));
-  }
-
-  /// The live snapshot (nullptr before the first publish). Lock-free.
-  [[nodiscard]] std::shared_ptr<const ModelSnapshot> current() const {
-    return current_.load(std::memory_order_acquire);
-  }
-
-  /// Atomically replace the live snapshot IF `snap` is a newer generation.
-  /// Readers that already loaded the old generation finish on it; new loads
-  /// see the new one. Returns false (and installs nothing) when the live
-  /// version is already >= snap->version — a compare-and-swap loop, so two
-  /// concurrent publishers (an adaptation round and an operator push)
-  /// cannot lose the newer one or regress the version. Throws
-  /// std::invalid_argument on nullptr.
-  bool publish(std::shared_ptr<const ModelSnapshot> snap);
-
-  /// Version of the live snapshot (0 before the first publish).
-  [[nodiscard]] std::uint64_t version() const {
-    const auto snap = current();
-    return snap ? snap->version : 0;
-  }
-
-  /// Number of publish() calls so far.
-  [[nodiscard]] std::uint64_t publish_count() const noexcept {
-    return publishes_.load(std::memory_order_relaxed);
-  }
-
- private:
-  std::atomic<std::shared_ptr<const ModelSnapshot>> current_;
-  std::atomic<std::uint64_t> publishes_{0};
 };
 
 }  // namespace smore

@@ -150,7 +150,7 @@ void ServeTelemetry::record_batch(
       span.batch_rows = static_cast<std::uint32_t>(n);
       span.label = i < labels.size() ? labels[i] : -1;
       span.ood = i < ood_flags.size() ? ood_flags[i] : 0;
-      span.set_tenant(tenant_name);
+      if (tenant != nullptr) span.set_tenant(tenant_name);
       hub_->tracer().record(span);
     }
   }

@@ -1,20 +1,18 @@
 #pragma once
-// ServeTelemetry: the serving planes' shared metric vocabulary and the ONE
+// ServeTelemetry: the serving plane's metric vocabulary and the ONE
 // accounting-before-fulfillment implementation (DESIGN.md §14).
 //
-// Both process_batch sites (serve/server.cpp, serve/router.cpp) used to
-// carry their own copy of the same delicate counter-ordering block: all
-// externally observable accounting must land BEFORE any promise is
+// All externally observable accounting must land BEFORE any promise is
 // fulfilled, so a submitter that returns from get() and immediately reads
-// stats() sees its own request counted. That block now lives here once, as
-// record_batch(), which also cuts the per-request trace spans from the same
-// four timestamps (so queue+encode+predict+fulfill == total exactly) and
-// feeds the latency histograms.
+// stats() sees its own request counted. record_batch() is that block; it
+// also cuts the per-request trace spans from the same four timestamps (so
+// queue+encode+predict+fulfill == total exactly) and feeds the latency
+// histograms.
 //
 // Metric handles are created once at construction / slot creation — the hot
 // path never touches the registry map. Counters are always on (they back the
-// legacy stats structs); histogram and trace recording honor the hub's
-// switches, which is the axis bench_telemetry_overhead measures.
+// stats structs); histogram and trace recording honor the hub's switches,
+// which is the axis bench_telemetry_overhead measures.
 
 #include <chrono>
 #include <cstdint>
@@ -25,6 +23,7 @@
 
 #include "obs/telemetry.hpp"
 #include "serve/status.hpp"
+#include "util/latency.hpp"
 
 namespace smore {
 
@@ -93,6 +92,7 @@ class ServeTelemetry {
   /// trace span per request when enabled — all from the caller's timestamps,
   /// all before the caller touches a promise. Spans are parallel over the
   /// batch: submit_times[i], ood_flags[i], labels[i] describe request i.
+  /// Spans name `tenant_name` only when `tenant` series exist.
   void record_batch(const BatchTimes& t,
                     std::span<const std::chrono::steady_clock::time_point>
                         submit_times,
@@ -102,8 +102,31 @@ class ServeTelemetry {
                     std::string_view tenant_name,
                     const TenantTelemetry* tenant);
 
-  // Plane-level handles ({plane=...} label), public by design: the servers
-  // bump adaptation/drop counters at their own decision points.
+  /// Fill the plane-level fields every stats view shares (ServerStats,
+  /// MultiTenantStats) from the same handles the hot path bumps, so stats()
+  /// and the exporters can never disagree.
+  template <typename Stats>
+  void fill_stats(Stats& s) const {
+    s.submitted = submitted->value();
+    s.rejected = rejected->value();
+    s.completed = completed->value();
+    s.batches = batches->value();
+    s.batched_rows = batched_rows->value();
+    s.ood_flagged = ood_flagged->value();
+    s.adaptation_rounds = adapt_rounds->value();
+    s.adaptation_absorbed = adapt_absorbed->value();
+    s.adaptation_dropped = adapt_dropped->value();
+    s.adaptation_overflow = adapt_overflow->value();
+    s.adaptation_merged = adapt_merged->value();
+    s.adaptation_evicted = adapt_evicted->value();
+    s.mean_batch_fill = s.batches != 0 ? static_cast<double>(s.batched_rows) /
+                                             static_cast<double>(s.batches)
+                                       : 0.0;
+    s.latency = LatencySummary::from(latency->snapshot());
+  }
+
+  // Plane-level handles ({plane=...} label), public by design: the plane
+  // bumps adaptation/drop counters at its own decision points.
   obs::Counter* submitted = nullptr;
   obs::Counter* rejected = nullptr;  ///< all refusals (every shed reason)
   obs::Counter* shed_queue_full = nullptr;

@@ -238,9 +238,11 @@ class ShardedLruCache {
     }
 
     {
-      // Budget admission is serialized: evict-until-fit plus the byte
-      // account must be one step, or two concurrent loads could both pass
-      // the check and overshoot the budget together.
+      // Budget admission is serialized: evict-until-fit, the byte account
+      // AND making the slot ready must be one step. Two concurrent loads
+      // could otherwise both pass the check; and an admission that ran
+      // between the account and the ready flip would find these bytes on a
+      // still-loading (unevictable) slot and admit over budget.
       const MutexLock budget_lock(budget_m_);
       while (resident_bytes_.load(std::memory_order_relaxed) + bytes >
                  config_.byte_budget &&
@@ -253,9 +255,7 @@ class ShardedLruCache {
       while (now > peak && !peak_resident_bytes_.compare_exchange_weak(
                                peak, now, std::memory_order_relaxed)) {
       }
-    }
-    {
-      const MutexLock lock(shard.m);
+      const MutexLock lock(shard.m);  // lock order: budget, then shard
       slot->value = value;
       slot->bytes = bytes;
       slot->stamp = next_stamp();

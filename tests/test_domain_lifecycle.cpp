@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <future>
@@ -467,6 +468,48 @@ TEST(DomainLifecycleServe, RouterAdaptsTenantsIndependently) {
   EXPECT_LE(tm->snapshot()->model->num_domains(),
             cfg.lifecycle_config.max_domains);
   EXPECT_GE(tm->snapshot()->version, 2u);  // at least one published round
+}
+
+TEST(DomainLifecycleServe, RouterWakesTheAdaptationWorkerWhenABufferFills) {
+  // The poll timer is a fallback: a tenant whose side buffer reaches
+  // adapt_min_batch wakes the adaptation worker at once, so with a
+  // one-minute poll its round must still publish within seconds.
+  constexpr std::size_t kDim = 128;
+  const HvDataset train = separable_hv_dataset(3, 3, 20, kDim, 0.4, 0.5);
+  auto model = std::make_shared<SmoreModel>(3, kDim);
+  model->fit(train);
+  model->calibrate_delta_star(train, 0.05);
+  const auto registry = std::make_shared<ModelRegistry>(
+      [model](const std::string&) {
+        return ModelSnapshot::make(model->clone(), false, 1);
+      },
+      RegistryConfig{});
+
+  MultiTenantConfig cfg;
+  cfg.adaptation = true;
+  cfg.adapt_min_batch = 8;
+  cfg.adapt_poll_ms = 60000;
+  cfg.lifecycle_config.max_domains = 4;
+  MultiTenantServer server(registry, cfg);
+
+  Rng rng(0xa11ce);
+  std::vector<float> hv(kDim);
+  std::size_t flagged = 0;
+  for (std::size_t i = 0; i < 4 * cfg.adapt_min_batch; ++i) {
+    for (auto& v : hv) v = static_cast<float>(rng.normal());
+    flagged += server.submit("drifty", hv).get().is_ood ? 1 : 0;
+  }
+  ASSERT_GE(flagged, cfg.adapt_min_batch) << "test premise: noise is OOD";
+
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (server.stats().adaptation_rounds == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_GE(server.stats().adaptation_rounds, 1u);
+  EXPECT_GE(registry->resident("drifty")->snapshot()->version, 2u);
+  server.shutdown();
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <barrier>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -20,6 +21,7 @@
 #include "hdc/encoder.hpp"
 #include "serve/registry.hpp"
 #include "test_util.hpp"
+#include "util/sharded_lru.hpp"
 
 namespace smore {
 namespace {
@@ -157,6 +159,38 @@ TEST_F(RegistryTest, SingleFlightConcurrentWarmLoad) {
     EXPECT_EQ(got[static_cast<std::size_t>(t)].get(), got[0].get());
   }
   EXPECT_EQ(registry.stats().loads, 1u);
+}
+
+TEST(ShardedLruCacheStress, RacingColdLoadsNeverOvershootTheBudget) {
+  // Each round releases four cold loads together against a budget of one
+  // and a half values. A load's bytes must become evictable in the same step
+  // that accounts them: otherwise a racing admission finds only a "loading"
+  // slot, has nothing to evict, and admits a second value over budget.
+  static constexpr std::size_t kValueBytes = 100;
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 5000;
+  ShardedLruCache<int>::Config cfg;
+  cfg.byte_budget = kValueBytes + kValueBytes / 2;
+  ShardedLruCache<int> cache(cfg);
+  const ShardedLruCache<int>::Loader loader = [](const std::string&) {
+    return std::make_pair(std::make_shared<int>(0), kValueBytes);
+  };
+  std::barrier start(kThreads);
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int round = 0; round < kRounds; ++round) {
+        start.arrive_and_wait();
+        (void)cache.get_or_load(
+            std::to_string(round) + "/" + std::to_string(t), loader);
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  const ShardedLruStats s = cache.stats();
+  EXPECT_EQ(s.loads, static_cast<std::uint64_t>(kThreads) * kRounds);
+  EXPECT_LE(s.peak_resident_bytes, cfg.byte_budget);
 }
 
 TEST_F(RegistryTest, LoadFailureIsDeliveredButNeverCached) {
